@@ -150,13 +150,8 @@ struct PopulationReport {
     sequential_banded: ModeReport,
     /// Parallel batch engine, exact DTW.
     batch_exact: ModeReport,
-    /// Parallel batch engine, banded DTW with the PR 4 sequential
-    /// candidate screen (lockstep / coarse-to-fine switches off).
+    /// Parallel batch engine, banded DTW.
     batch_banded: ModeReport,
-    /// Parallel batch engine, banded DTW plus lockstep screening and the
-    /// coarse-to-fine pre-alignment (the production fast path; output is
-    /// bit-identical to `batch_banded` — the exactness suite pins it).
-    batch_screened: ModeReport,
     /// Serving cold path: a fresh `LocalizationService` per request, so
     /// every request rebuilds its reference banks (per-run behaviour).
     serve_cold: ModeReport,
@@ -169,9 +164,6 @@ struct PopulationReport {
     serve_net: ModeReport,
     /// `seed_sequential_exact.localize_ms / batch_banded.localize_ms`.
     speedup_batch_banded_vs_seed: f64,
-    /// `batch_banded.localize_ms / batch_screened.localize_ms` — the
-    /// lockstep + coarse-to-fine screening win over the PR 4 path.
-    speedup_screened_vs_banded: f64,
     /// `serve_cold.localize_ms / serve_warm.localize_ms`.
     speedup_serve_warm_vs_cold: f64,
     /// `serve_net.localize_ms / serve_warm.localize_ms` — the wire tax.
@@ -342,32 +334,18 @@ fn bench_input(
 ) -> Result<PopulationReport, LocalizationError> {
     let tags = input.observations.len();
 
-    // The historical modes pin the PR 4 candidate screen (sequential,
-    // switches off) so their trend lines keep measuring the same
-    // algorithm; `screened` adds the lockstep + coarse-to-fine fast path
-    // on top of the banded batch engine.
-    let legacy =
-        StppConfig { lockstep_screen: false, coarse_prealign: false, ..StppConfig::default() };
-    let exact = legacy;
-    let banded = StppConfig { dtw_band: Some(BAND), ..legacy };
-    let screened = StppConfig {
-        dtw_band: Some(BAND),
-        lockstep_screen: true,
-        coarse_prealign: true,
-        ..StppConfig::default()
-    };
+    let exact = StppConfig::default();
+    let banded = StppConfig { dtw_band: Some(BAND), ..exact };
 
     let seed_sequential_exact = time_mode(|| baseline::seed_localize(&input))?;
     let sequential_exact = time_mode(|| RelativeLocalizer::new(exact).localize(&input))?;
     let sequential_banded = time_mode(|| RelativeLocalizer::new(banded).localize(&input))?;
     let batch_exact = time_mode(|| BatchLocalizer::new(exact, threads).localize(&input))?;
     let batch_banded = time_mode(|| BatchLocalizer::new(banded, threads).localize(&input))?;
-    let batch_screened = time_mode(|| BatchLocalizer::new(screened, threads).localize(&input))?;
 
-    // Serving paths, screened config (the production setup): cold
-    // constructs a fresh service per request, warm reuses one long-lived
-    // service.
-    let service_config = ServiceConfig { stpp: screened, threads, ..ServiceConfig::default() };
+    // Serving paths, banded config: cold constructs a fresh service per
+    // request, warm reuses one long-lived service.
+    let service_config = ServiceConfig { stpp: banded, threads, ..ServiceConfig::default() };
     let serve_cold = time_mode(|| {
         let service = LocalizationService::new(service_config);
         service.localize(input.clone()).map(|r| r.result)
@@ -407,7 +385,6 @@ fn bench_input(
         sweep_connections.map(|counts| sweep_serve_net(&input, service_config, counts));
 
     let speedup = seed_sequential_exact.localize_ms / batch_banded.localize_ms.max(1e-9);
-    let screen_speedup = batch_banded.localize_ms / batch_screened.localize_ms.max(1e-9);
     let serve_speedup = serve_cold.localize_ms / serve_warm.localize_ms.max(1e-9);
     let net_overhead = serve_net.localize_ms / serve_warm.localize_ms.max(1e-9);
     Ok(PopulationReport {
@@ -419,12 +396,10 @@ fn bench_input(
         sequential_banded,
         batch_exact,
         batch_banded,
-        batch_screened,
         serve_cold,
         serve_warm,
         serve_net,
         speedup_batch_banded_vs_seed: speedup,
-        speedup_screened_vs_banded: screen_speedup,
         speedup_serve_warm_vs_cold: serve_speedup,
         overhead_net_vs_warm: net_overhead,
         serve_net_connections,
@@ -624,8 +599,8 @@ fn spawn_fleet(
 /// One timed fleet repetition: [`FLEET_CLIENTS`] concurrent workers,
 /// each with its own [`FleetClient`] (per-shard retry budgets and
 /// connections), each localizing every variant [`FLEET_ROUNDS_PER_CLIENT`]
-/// times. Variant order rotates per client so the workers do not hit
-/// the same shard in lockstep.
+/// times. Variant order rotates per client so the workers do not all
+/// hit the same shard at once.
 fn time_fleet_rep(
     addrs: &[std::net::SocketAddr],
     config: &StppConfig,
@@ -786,13 +761,8 @@ fn sweep_streaming(threads: usize) -> StreamingReport {
         wavelength_m: built.input.wavelength_m,
         perpendicular_distance_m: built.input.perpendicular_distance_m,
     };
-    let screened = StppConfig {
-        dtw_band: Some(BAND),
-        lockstep_screen: true,
-        coarse_prealign: true,
-        ..StppConfig::default()
-    };
-    let service_config = ServiceConfig { stpp: screened, threads, ..ServiceConfig::default() };
+    let banded = StppConfig { dtw_band: Some(BAND), ..StppConfig::default() };
+    let service_config = ServiceConfig { stpp: banded, threads, ..ServiceConfig::default() };
     let service = LocalizationService::new(service_config);
     // Warm-up + reference: one batch request builds the geometry's banks
     // (sessions share them through the session geometry key) and pins
@@ -943,17 +913,14 @@ fn main() {
         };
         eprintln!(
             "  seed {:8.2} ms | seq exact {:8.2} ms | seq banded {:8.2} ms | batch exact \
-             {:8.2} ms | batch banded {:8.2} ms | speedup {:4.1}x | screened {:8.2} ms \
-             ({:4.2}x banded) | serve cold {:8.2} ms / warm {:8.2} ms ({:3.1}x) | net {:8.2} ms \
-             ({:3.1}x warm)",
+             {:8.2} ms | batch banded {:8.2} ms | speedup {:4.1}x | serve cold {:8.2} ms / warm \
+             {:8.2} ms ({:3.1}x) | net {:8.2} ms ({:3.1}x warm)",
             report.seed_sequential_exact.localize_ms,
             report.sequential_exact.localize_ms,
             report.sequential_banded.localize_ms,
             report.batch_exact.localize_ms,
             report.batch_banded.localize_ms,
             report.speedup_batch_banded_vs_seed,
-            report.batch_screened.localize_ms,
-            report.speedup_screened_vs_banded,
             report.serve_cold.localize_ms,
             report.serve_warm.localize_ms,
             report.speedup_serve_warm_vs_cold,
@@ -980,7 +947,7 @@ fn main() {
     let streaming = sweep_streaming(threads);
 
     let report = BenchReport {
-        schema: "stpp-bench-pipeline/v7",
+        schema: "stpp-bench-pipeline/v8",
         smoke,
         threads,
         band: BAND,

@@ -10,7 +10,7 @@
 //!   the paper's "find where the V-zone appears in the measured phase
 //!   profile" problem,
 //! * [`dtw_segmented`] — the paper's optimisation: alignment over the
-//!   coarse segment representations, with the segment-range distance and
+//!   segment representations, with the segment-range distance and
 //!   the `min(s^T_P, s^T_Q)` time weighting from Section 3.1.2, reducing
 //!   the complexity to `O(M·N / w²)`.
 //!
@@ -147,25 +147,6 @@ pub struct DtwScratch {
     /// points (the bank-backed hot path brings its own, precomputed).
     ref_feat: SegmentFeatures,
     mea_feat: SegmentFeatures,
-    /// Lockstep screening arena: two rolling DP rows per candidate lane,
-    /// laid out lane-major (`[lane 0 row A][lane 0 row B][lane 1 row A]…`)
-    /// so each lane's row advance streams through contiguous memory while
-    /// the measured-side feature arrays stay hot across all lanes.
-    lockstep: Vec<f64>,
-    /// Per-lane bookkeeping for the lockstep screen.
-    lanes: Vec<LaneState>,
-}
-
-/// Per-candidate state of a lockstep screen (see [`dtw_screen_lockstep`]).
-#[derive(Debug, Default, Clone, Copy)]
-struct LaneState {
-    /// Reference length (rows) of this lane.
-    n: usize,
-    /// Whether the lane has finished (completed, abandoned, or infeasible).
-    done: bool,
-    /// Minimum of the lane's most recently computed row (a lower bound on
-    /// the lane's final cost; used by the beam race in tighten mode).
-    row_min: f64,
 }
 
 /// Per-segment features of a [`SegmentedProfile`] flattened into
@@ -221,68 +202,6 @@ impl SegmentFeatures {
     pub fn is_empty(&self) -> bool {
         self.lo.is_empty()
     }
-
-    /// Clears and refills this representation with a *decimated* (half
-    /// resolution, "double window") copy of `fine`: adjacent segment
-    /// pairs are merged into one coarse segment whose phase range is the
-    /// **hull** of the pair's ranges and whose effective duration is the
-    /// **minimum** of the pair's durations (an odd trailing segment is
-    /// kept as is).
-    ///
-    /// These two choices make the coarse representation *conservative*
-    /// with respect to the fine one: for any warping path through the
-    /// fine cost matrix, projecting each fine cell `(i, j)` to
-    /// `(i/2, j/2)` yields a valid coarse path, every coarse cell cost
-    /// (hull gap × min-duration) lower-bounds each of its fine children's
-    /// costs, and a zero gap penalty never charges more than the fine
-    /// penalties — so the optimal coarse subsequence cost (with gap
-    /// penalty 0 and a band of `fine_band/2 + 1`, see [`decimated_band`])
-    /// is a **lower bound** on the optimal fine subsequence cost
-    /// (property-tested in the exactness suite). The V-zone detector uses
-    /// the decimated representations to *rank* offset candidates on cold
-    /// scratches — with the gap penalty kept, as a sharper heuristic —
-    /// rather than to prune: with realistic noise the candidates' costs
-    /// cluster within a few percent, so the penalty-free lower bound is
-    /// never tight enough to discard one soundly.
-    pub fn decimate_into(&self, out: &mut SegmentFeatures) {
-        out.lo.clear();
-        out.hi.clear();
-        out.dur.clear();
-        let n = self.len();
-        let mut i = 0;
-        while i < n {
-            if i + 1 < n {
-                out.lo.push(self.lo[i].min(self.lo[i + 1]));
-                out.hi.push(self.hi[i].max(self.hi[i + 1]));
-                out.dur.push(self.dur[i].min(self.dur[i + 1]));
-                i += 2;
-            } else {
-                out.lo.push(self.lo[i]);
-                out.hi.push(self.hi[i]);
-                out.dur.push(self.dur[i]);
-                i += 1;
-            }
-        }
-    }
-
-    /// [`decimate_into`](Self::decimate_into) returning a fresh
-    /// representation.
-    pub fn decimated(&self) -> SegmentFeatures {
-        let mut out = SegmentFeatures::default();
-        self.decimate_into(&mut out);
-        out
-    }
-}
-
-/// The band width to use for a decimated ([`SegmentFeatures::decimate_into`])
-/// subsequence alignment so that every path admitted by the fine band is
-/// still admitted after projection to half resolution: a fine cell
-/// satisfies `j ≥ i − (b + max(0, N − M))`, and its projection satisfies
-/// `⌊j/2⌋ ≥ ⌊i/2⌋ − (b/2 + 1 + max(0, N' − M'))`. Preserving feasibility
-/// is what lets a coarse *infeasible* outcome discard a candidate
-/// outright, and keeps the coarse optimum a lower bound of the fine one.
-pub fn decimated_band(band: Option<usize>) -> Option<usize> {
-    band.map(|b| b / 2 + 1)
 }
 
 impl DtwScratch {
@@ -1035,326 +954,6 @@ impl IncrementalDtwCost {
         }
         self.best()
     }
-}
-
-/// Per-candidate outcome of a [`dtw_screen_lockstep`] pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScreenOutcome {
-    /// The candidate's cost-only alignment ran to completion under its
-    /// limit. The cost is **bit-identical** to what
-    /// [`dtw_segmented_cost_only`] (and the path-recording kernel) would
-    /// return for the same inputs.
-    Completed(f64),
-    /// The candidate was cut off because its running row minimum (or its
-    /// final cost) exceeded its limit. The carried value is a true
-    /// **lower bound** on the candidate's exact alignment cost: every
-    /// complete warping path crosses the row that triggered the abandon.
-    Abandoned {
-        /// A lower bound on the candidate's exact alignment cost.
-        lower_bound: f64,
-    },
-    /// No alignment exists: the candidate (or measured) representation is
-    /// empty, the band admits no path, or every endpoint is non-finite.
-    Infeasible,
-}
-
-impl ScreenOutcome {
-    /// The completed cost, if any.
-    pub fn completed(self) -> Option<f64> {
-        match self {
-            ScreenOutcome::Completed(cost) => Some(cost),
-            _ => None,
-        }
-    }
-
-    /// A lower bound on the candidate's exact alignment cost implied by
-    /// this outcome: the exact cost when completed, the abandon row
-    /// minimum when abandoned, `+∞` when no alignment exists at all.
-    pub fn lower_bound(self) -> f64 {
-        match self {
-            ScreenOutcome::Completed(cost) => cost,
-            ScreenOutcome::Abandoned { lower_bound } => lower_bound,
-            ScreenOutcome::Infeasible => f64::INFINITY,
-        }
-    }
-}
-
-/// Cost-only segmented subsequence DTW over **many candidate references
-/// in lockstep**: the measured representation is walked once per row
-/// while every live candidate advances its own two-row cost table, so the
-/// measured-side feature arrays (and the struct-of-arrays row arena in
-/// [`DtwScratch`]) stay cache-hot across all candidates instead of being
-/// re-streamed per candidate.
-///
-/// Per candidate `k` the recurrence, move preference, and abandon rule
-/// are exactly those of [`dtw_segmented_cost_only`]; a `Completed` cost
-/// is bit-identical to a standalone cost-only (or path-recording)
-/// alignment of the same candidate. `limits[k]` (when given) plays the
-/// role of `abandon_above`. On top of the per-candidate limits the pass
-/// maintains one **shared abandon threshold**: when `tighten` is set,
-/// every candidate that completes lowers the shared normalised bound to
-/// its own `cost / len`, and still-running candidates abandon against
-/// `bound · len_k` as well. Tightening makes the pass a racing heuristic
-/// (whichever candidate completes first prunes the rest), so exactness-
-/// preserving callers use `tighten = false` with sound per-candidate
-/// limits and reserve `tighten = true` for ranking-only passes where an
-/// `Abandoned` outcome is still informative through its lower bound.
-///
-/// Two refinements over a literal per-candidate replay of
-/// [`dtw_segmented_cost_only`], both outcome-preserving:
-///
-/// * **Row-0 abandon** — row minima are non-decreasing in the row index
-///   (every path through row `i` passed row `i − 1`), so a lane whose
-///   *first* row minimum already exceeds its limit is abandoned
-///   immediately; the standalone screen would have returned `None` one
-///   row later.
-/// * **Beam racing** (`tighten` mode only) — lanes whose running row
-///   minimum is several times the best lane's minimum at the same row
-///   are cut off; their recorded lower bound is still exact. Ranking
-///   passes use this to discard hopeless candidates after a couple of
-///   rows instead of carrying all of them to completion.
-///
-/// `out` is cleared and refilled with one [`ScreenOutcome`] per
-/// candidate, index-aligned with `candidates`.
-///
-/// # Panics
-///
-/// Panics when `limits` is `Some` and its length differs from
-/// `candidates.len()`.
-#[allow(clippy::too_many_arguments)] // hot-path entry mirroring the kernels
-pub fn dtw_screen_lockstep(
-    candidates: &[&SegmentFeatures],
-    measured: &SegmentFeatures,
-    gap_penalty_per_second: f64,
-    band: Option<usize>,
-    limits: Option<&[f64]>,
-    tighten: bool,
-    scratch: &mut DtwScratch,
-    out: &mut Vec<ScreenOutcome>,
-) {
-    let penalty = gap_penalty_per_second.max(0.0);
-    let lanes_n = candidates.len();
-    if let Some(limits) = limits {
-        assert_eq!(limits.len(), lanes_n, "one limit per candidate");
-    }
-    out.clear();
-    out.resize(lanes_n, ScreenOutcome::Infeasible);
-    let m = measured.len();
-    if lanes_n == 0 || m == 0 {
-        return;
-    }
-    let DtwScratch { lockstep, lanes, .. } = scratch;
-    lanes.clear();
-    lanes.extend(candidates.iter().map(|c| LaneState {
-        n: c.len(),
-        done: c.is_empty(),
-        row_min: f64::INFINITY,
-    }));
-    let arena = 2 * lanes_n * m;
-    if lockstep.len() < arena {
-        lockstep.resize(arena, f64::INFINITY);
-    }
-    let (m_lo, m_hi, m_dur) = (&measured.lo[..m], &measured.hi[..m], &measured.dur[..m]);
-    // Branchless form of the segment range distance: at most one of the
-    // two differences is positive (lo ≤ hi on both sides), so the max
-    // chain selects exactly the branch the sequential kernel takes —
-    // bit-identical for the finite features the detectors produce, and
-    // the compiler can vectorize it.
-    let cell_cost = |r_lo: f64, r_hi: f64, r_dur: f64, j: usize| -> f64 {
-        let gap = (r_lo - m_hi[j]).max(m_lo[j] - r_hi).max(0.0);
-        r_dur.min(m_dur[j]) * gap
-    };
-    // The shared tightening bound, normalised by each lane's own length
-    // (candidate lengths differ — wrap splits move with the offset — so
-    // raw totals are not comparable across lanes).
-    let mut shared_norm = f64::INFINITY;
-    let limit_for = |k: usize, n: usize, shared_norm: f64| -> f64 {
-        let mut limit = limits.map_or(f64::INFINITY, |l| l[k]);
-        if tighten && shared_norm.is_finite() {
-            limit = limit.min(shared_norm * n as f64);
-        }
-        limit
-    };
-    // Finishes a lane whose final row occupies `row[lo..]`, mirroring the
-    // endpoint handling of `dtw_segmented_cost_only`.
-    let finish = |row: &[f64], lo: usize, limit: f64| -> ScreenOutcome {
-        let mut total = f64::INFINITY;
-        for &v in &row[lo..] {
-            if v < total {
-                total = v;
-            }
-        }
-        if !total.is_finite() {
-            ScreenOutcome::Infeasible
-        } else if total > limit {
-            ScreenOutcome::Abandoned { lower_bound: total }
-        } else {
-            ScreenOutcome::Completed(total)
-        }
-    };
-
-    // Beam race (tighten mode only): a lane whose row minimum is this
-    // many times the best lane's minimum at the same row is cut off.
-    // Row minima are exact lower bounds either way, so the outcome still
-    // carries sound information — the beam only trades ranking fidelity
-    // of hopeless lanes for not carrying them to completion.
-    const BEAM: f64 = 4.0;
-    const BEAM_SLACK: f64 = 1e-12;
-
-    // Row 0 for every lane (lanes with a single row finish immediately;
-    // lanes whose first row already exceeds their limit abandon now —
-    // row minima only grow, so the standalone screen would return `None`
-    // one row later anyway).
-    let mut alive = 0usize;
-    for (k, cand) in candidates.iter().enumerate() {
-        let lane = &mut lanes[k];
-        if lane.done {
-            continue; // empty candidate: Infeasible
-        }
-        let row0 = &mut lockstep[2 * k * m..2 * k * m + m];
-        let (r_lo, r_hi, r_dur) = (cand.lo[0], cand.hi[0], cand.dur[0]);
-        let mut row_min = f64::INFINITY;
-        for (j, slot) in row0.iter_mut().enumerate() {
-            let v = cell_cost(r_lo, r_hi, r_dur, j);
-            *slot = v;
-            if v < row_min {
-                row_min = v;
-            }
-        }
-        lane.row_min = row_min;
-        let limit = limit_for(k, lane.n, shared_norm);
-        if lane.n == 1 {
-            lane.done = true;
-            let outcome = finish(row0, 0, limit);
-            if tighten {
-                if let ScreenOutcome::Completed(cost) = outcome {
-                    shared_norm = shared_norm.min(cost);
-                }
-            }
-            out[k] = outcome;
-        } else if row_min > limit {
-            lane.done = true;
-            out[k] = ScreenOutcome::Abandoned { lower_bound: row_min };
-        } else {
-            alive += 1;
-        }
-    }
-    if tighten && alive > 1 {
-        alive -= beam_prune(lanes, out, BEAM, BEAM_SLACK);
-    }
-
-    // Advance every live lane one row per iteration. `flip` selects which
-    // half of each lane's arena holds the previous row.
-    let mut flip = 0usize;
-    let mut i = 1usize;
-    while alive > 0 {
-        for (k, cand) in candidates.iter().enumerate() {
-            let lane = &mut lanes[k];
-            if lane.done || lane.n <= i {
-                continue;
-            }
-            let n = lane.n;
-            let lo = match band {
-                // See `dtw_kernel`: budget the minimal warp forced by a
-                // longer reference on top of the configured band.
-                Some(b) => i.saturating_sub(b + n.saturating_sub(m)),
-                None => 0,
-            };
-            if lo >= m {
-                lane.done = true;
-                alive -= 1;
-                out[k] = ScreenOutcome::Infeasible;
-                continue;
-            }
-            let base = 2 * k * m;
-            let lane_rows = &mut lockstep[base..base + 2 * m];
-            let (half_a, half_b) = lane_rows.split_at_mut(m);
-            let (prev, cur): (&[f64], &mut [f64]) =
-                if flip == 0 { (half_a, half_b) } else { (half_b, half_a) };
-            let (r_lo, r_hi, r_dur) = (cand.lo[i], cand.hi[i], cand.dur[i]);
-            let pu = penalty * r_dur;
-            if lo > 0 {
-                cur[lo - 1] = f64::INFINITY;
-            }
-            let mut left = {
-                let diag = if lo > 0 { prev[lo - 1] } else { f64::INFINITY };
-                let up = prev[lo] + pu;
-                let best = if diag <= up { diag } else { up };
-                let v = cell_cost(r_lo, r_hi, r_dur, lo) + best;
-                cur[lo] = v;
-                v
-            };
-            let mut row_min = left;
-            for j in lo + 1..m {
-                let diag = prev[j - 1];
-                let up = prev[j] + pu;
-                let left_cost = left + penalty * m_dur[j];
-                let mut best = diag;
-                if up < best {
-                    best = up;
-                }
-                if left_cost < best {
-                    best = left_cost;
-                }
-                let v = cell_cost(r_lo, r_hi, r_dur, j) + best;
-                cur[j] = v;
-                left = v;
-                if v < row_min {
-                    row_min = v;
-                }
-            }
-            lane.row_min = row_min;
-            let limit = limit_for(k, n, shared_norm);
-            if row_min > limit {
-                lane.done = true;
-                alive -= 1;
-                out[k] = ScreenOutcome::Abandoned { lower_bound: row_min };
-                continue;
-            }
-            if i == n - 1 {
-                lane.done = true;
-                alive -= 1;
-                let outcome = finish(cur, lo, limit);
-                if tighten {
-                    if let ScreenOutcome::Completed(cost) = outcome {
-                        shared_norm = shared_norm.min(cost / n as f64);
-                    }
-                }
-                out[k] = outcome;
-            }
-        }
-        if tighten && alive > 1 {
-            alive -= beam_prune(lanes, out, BEAM, BEAM_SLACK);
-        }
-        flip ^= 1;
-        i += 1;
-    }
-}
-
-/// The beam race of [`dtw_screen_lockstep`]'s tighten mode: abandons
-/// every live lane whose current row minimum exceeds `beam ×` the best
-/// live lane's, recording the (exact) row-minimum lower bound. Returns
-/// how many lanes were cut.
-fn beam_prune(lanes: &mut [LaneState], out: &mut [ScreenOutcome], beam: f64, slack: f64) -> usize {
-    let mut round_min = f64::INFINITY;
-    for lane in lanes.iter() {
-        if !lane.done && lane.row_min < round_min {
-            round_min = lane.row_min;
-        }
-    }
-    if !round_min.is_finite() {
-        return 0;
-    }
-    let cutoff = beam * round_min + slack;
-    let mut cut = 0usize;
-    for (lane, slot) in lanes.iter_mut().zip(out.iter_mut()) {
-        if !lane.done && lane.row_min > cutoff {
-            lane.done = true;
-            *slot = ScreenOutcome::Abandoned { lower_bound: lane.row_min };
-            cut += 1;
-        }
-    }
-    cut
 }
 
 /// The specialised DP loop behind [`dtw_segmented_features_into`] in

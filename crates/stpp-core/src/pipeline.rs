@@ -93,16 +93,6 @@ pub struct StppConfig {
     /// `None` = exact alignment (the default, and the paper's algorithm).
     /// See the [`dtw`](crate::dtw) module docs for the band semantics.
     pub dtw_band: Option<usize>,
-    /// Screen the offset candidates in lockstep
-    /// ([`VZoneDetector::lockstep_screen`]); `false` restores the PR 2
-    /// sequential screen. Results are bit-identical either way (the
-    /// exactness suite pins it), only the work skipped differs.
-    pub lockstep_screen: bool,
-    /// Run the coarse-to-fine (double-window decimated) pre-alignment on
-    /// cold detection scratches to rank the offset candidates before the
-    /// threshold-seeding alignment ([`VZoneDetector::coarse_prealign`]);
-    /// `false` skips the coarse stage. Bit-identical either way.
-    pub coarse_prealign: bool,
 }
 
 impl Default for StppConfig {
@@ -117,8 +107,6 @@ impl Default for StppConfig {
             y_strategy: YOrderingStrategy::Pivot,
             min_reads: 12,
             dtw_band: None,
-            lockstep_screen: true,
-            coarse_prealign: true,
         }
     }
 }
@@ -326,9 +314,7 @@ impl DetectionEngine {
         let dtw_detector = VZoneDetector::new(reference_params)
             .with_window(config.window)
             .with_offset_candidates(config.offset_candidates)
-            .with_dtw_band(config.dtw_band)
-            .with_lockstep_screen(config.lockstep_screen)
-            .with_coarse_prealign(config.coarse_prealign);
+            .with_dtw_band(config.dtw_band);
         Ok(DetectionEngine {
             config,
             dtw_detector,

@@ -24,8 +24,8 @@ use rfid_phys::wrap_phase;
 use serde::{Deserialize, Serialize};
 
 use crate::dtw::{
-    decimated_band, dtw_screen_lockstep, dtw_segmented_cost_only, dtw_segmented_features_into,
-    path_matched_range, DtwScratch, ScreenOutcome, SegmentFeatures,
+    dtw_segmented_cost_only, dtw_segmented_features_into, path_matched_range, DtwScratch,
+    SegmentFeatures,
 };
 use crate::profile::{PhaseProfile, PhaseSample};
 use crate::reference::{BankCacheStats, ReferenceBank, ReferenceBankCache, ReferenceProfileParams};
@@ -215,9 +215,9 @@ pub struct VZoneDetection {
     /// detector.
     pub match_cost: Option<f64>,
     /// Index of the winning hardware-offset candidate in the detector's
-    /// [`ReferenceBank`] (`None` for the naive detector). Exposed so the
-    /// equivalence suite can assert that every screening strategy agrees
-    /// on the argmin candidate, not just on the end result.
+    /// [`ReferenceBank`] (`None` for the naive detector). Exposed so tests
+    /// can assert that the candidate screen's argmin does not depend on
+    /// the trial order, not just that the end result matches.
     pub offset_index: Option<usize>,
     /// The quarter-wavelength refinement cap
     /// ([`ReferenceBank::max_half_duration_s`]) the detection was refined
@@ -555,18 +555,6 @@ pub struct DetectScratch {
     dtw: DtwScratch,
     measured_seg: SegmentedProfile,
     measured_feat: SegmentFeatures,
-    /// Half-resolution decimation of `measured_feat` for the
-    /// coarse-to-fine pre-alignment (rebuilt on cold-scratch detections
-    /// when enabled).
-    measured_coarse: SegmentFeatures,
-    /// Candidate trial order of the current detection.
-    order: Vec<usize>,
-    /// Per-candidate outcomes of the most recent lockstep screen.
-    outcomes: Vec<ScreenOutcome>,
-    /// `(normalised cost, candidate)` pairs that beat the running best.
-    survivors: Vec<(f64, usize)>,
-    /// Per-candidate abandon limits / coarse ranking scores buffer.
-    limits: Vec<f64>,
     /// Reusable buffer for the median-interval selection.
     gaps: Vec<f64>,
     /// Working buffers for V-zone refinement and fitting.
@@ -629,25 +617,6 @@ pub struct VZoneDetector {
     /// for the subsequence band semantics. Too narrow a band can make
     /// short profiles undetectable (the pattern no longer fits).
     pub dtw_band: Option<usize>,
-    /// Screen the offset candidates with the lockstep kernel
-    /// ([`dtw_screen_lockstep`]): one full path-recording alignment seeds
-    /// the abandon threshold, the remaining candidates advance their
-    /// cost-only tables together, and only survivors that beat the best
-    /// are re-aligned with path recording. `false` restores the PR 2
-    /// sequential screen. The selected candidate and the end-to-end
-    /// result are bit-identical either way (pinned by the exactness
-    /// suite).
-    pub lockstep_screen: bool,
-    /// Run the coarse-to-fine (double-window decimated,
-    /// [`SegmentFeatures::decimate_into`]) pre-alignment on cold
-    /// scratches: a beam-raced half-resolution pass over the bank ranks
-    /// the candidates, so the abandon threshold is seeded by the most
-    /// promising candidate's full alignment instead of an arbitrary
-    /// first guess. Warm scratches lead with the previous winner and
-    /// skip the coarse pass entirely. Ranking only affects trial order —
-    /// the selected argmin is order-independent — so results are exact
-    /// either way.
-    pub coarse_prealign: bool,
 }
 
 impl VZoneDetector {
@@ -662,8 +631,6 @@ impl VZoneDetector {
             min_vzone_samples: 5,
             gap_penalty_per_second: 0.5,
             dtw_band: None,
-            lockstep_screen: true,
-            coarse_prealign: true,
         }
     }
 
@@ -682,20 +649,6 @@ impl VZoneDetector {
     /// Overrides the DTW band width (`None` = exact).
     pub fn with_dtw_band(mut self, band: Option<usize>) -> Self {
         self.dtw_band = band;
-        self
-    }
-
-    /// Toggles the lockstep candidate screen (`false` = the PR 2
-    /// sequential screen; the outcome is bit-identical either way).
-    pub fn with_lockstep_screen(mut self, enabled: bool) -> Self {
-        self.lockstep_screen = enabled;
-        self
-    }
-
-    /// Toggles the coarse-to-fine pre-alignment (`false` = no coarse
-    /// stage; the outcome is bit-identical either way).
-    pub fn with_coarse_prealign(mut self, enabled: bool) -> Self {
-        self.coarse_prealign = enabled;
         self
     }
 
@@ -796,19 +749,7 @@ impl VZoneDetector {
         scratch: &mut DetectScratch,
     ) -> Result<Option<VZoneDetection>, DetectError> {
         let DetectScratch {
-            dtw,
-            measured_seg,
-            measured_feat,
-            measured_coarse,
-            hint,
-            work_a,
-            work_b,
-            points,
-            order,
-            outcomes,
-            survivors,
-            limits,
-            ..
+            dtw, measured_seg, measured_feat, hint, work_a, work_b, points, ..
         } = scratch;
         measured_seg.rebuild(measured, self.window);
         if measured_seg.is_empty() {
@@ -821,17 +762,9 @@ impl VZoneDetector {
         // Find the best-matching offset candidate: the minimum normalised
         // cost over every candidate that passes the matched-range and
         // duration filters, ties resolved to the smaller candidate index.
-        // Both screening strategies compute exactly that argmin — the
-        // fast path only changes *which* alignments are provably skipped
-        // — so the detection is bit-identical across the switches (pinned
-        // by the exactness suite).
-        let best = if self.lockstep_screen || self.coarse_prealign {
-            ctx.screen_fast(dtw, *hint, measured_coarse, order, outcomes, survivors, limits)
-        } else {
-            ctx.screen_sequential(dtw, *hint)
-        };
-
-        let Some((cost, winner, range)) = best else {
+        // The hint only changes *which* alignments early abandoning skips,
+        // never the argmin.
+        let Some((cost, winner, range)) = ctx.screen(dtw, *hint) else {
             return Ok(None);
         };
         *hint = Some(winner);
@@ -863,7 +796,7 @@ impl VZoneDetector {
     }
 }
 
-/// The borrowed per-detection state both screening strategies share: the
+/// The borrowed per-detection state of the candidate screen: the
 /// configured detector, the reference bank, and the measured profile's
 /// representations.
 struct ScreenCtx<'a> {
@@ -882,9 +815,8 @@ impl ScreenCtx<'_> {
     /// Runs the full path-recording alignment for candidate `k` and
     /// applies the acceptance filters (V-zone matched range non-empty,
     /// matched span retains a reasonable fraction of the pattern
-    /// duration) — the shared "accept a candidate" step of both
-    /// screening strategies. Returns the normalised cost and matched
-    /// sample range on success.
+    /// duration). Returns the normalised cost and matched sample range on
+    /// success.
     fn align_candidate(
         &self,
         k: usize,
@@ -922,14 +854,13 @@ impl ScreenCtx<'_> {
         Some((normalised_cost, sample_range))
     }
 
-    /// The PR 2 screening loop (`lockstep_screen` and `coarse_prealign`
-    /// both off): try every offset candidate in hint-first order, screen
-    /// each after the first with a sequential cost-only alignment that
+    /// The candidate screen: try every offset candidate in hint-first
+    /// order, screen each after the first with a cost-only alignment that
     /// early-abandons against the best so far, and keep the best match.
     /// The outcome is order independent (candidates that lose to the
     /// running best are exactly the ones early abandoning discards, and
     /// exact cost ties resolve to the smaller candidate index).
-    fn screen_sequential(&self, dtw: &mut DtwScratch, hint: Option<usize>) -> ScreenBest {
+    fn screen(&self, dtw: &mut DtwScratch, hint: Option<usize>) -> ScreenBest {
         let candidates = self.bank.patterns.len();
         let first = hint.filter(|h| *h < candidates).unwrap_or(0);
         let mut best: ScreenBest = None;
@@ -953,7 +884,7 @@ impl ScreenCtx<'_> {
             // against the best so far). Only a candidate that improves on
             // the best match is re-aligned with path recording — with the
             // hint, that is typically one full alignment per tag.
-            let screened = match &best {
+            let screen_cost = match &best {
                 None => None,
                 Some((best_cost, bk, _)) => {
                     let abandon_above = Some(best_cost * n as f64);
@@ -975,175 +906,11 @@ impl ScreenCtx<'_> {
                 }
             };
             if let Some((normalised_cost, sample_range)) = self.align_candidate(k, dtw) {
-                debug_assert!(screened.is_none_or(|s| s == normalised_cost));
+                debug_assert!(screen_cost.is_none_or(|s| s == normalised_cost));
                 best = Some((normalised_cost, k, sample_range));
             }
         }
         best
-    }
-
-    /// The screened strategy behind the `lockstep_screen` /
-    /// `coarse_prealign` switches. Three stages:
-    ///
-    /// 1. **Trial order** — the previous winner first (warm scratch;
-    ///    tags of one sweep share the reader's hardware offset). On a
-    ///    cold scratch with `coarse_prealign` on, a double-window
-    ///    decimated pre-alignment pass over the bank ranks every
-    ///    candidate instead: the lockstep kernel races the candidates at
-    ///    half resolution, its shared abandon threshold tightening as
-    ///    any candidate completes, and the surviving scores order the
-    ///    trial sequence. (The ranking only chooses *order*; the argmin
-    ///    is order-independent, so exactness cannot depend on it.)
-    /// 2. **Seed** — one full path-recording alignment of the first
-    ///    acceptable candidate establishes the abandon threshold before
-    ///    any fine screening runs.
-    /// 3. **Fine screen** — the remaining candidates run their cost-only
-    ///    tables against that threshold, in lockstep
-    ///    ([`dtw_screen_lockstep`]) or sequentially; survivors are
-    ///    re-aligned with path recording in ascending `(cost, index)`
-    ///    order so the final argmin (and its warping path) is exactly
-    ///    the sequential strategy's.
-    #[allow(clippy::too_many_arguments)] // scratch-buffer plumbing, internal
-    fn screen_fast(
-        &self,
-        dtw: &mut DtwScratch,
-        hint: Option<usize>,
-        measured_coarse: &mut SegmentFeatures,
-        order: &mut Vec<usize>,
-        outcomes: &mut Vec<ScreenOutcome>,
-        survivors: &mut Vec<(f64, usize)>,
-        limits: &mut Vec<f64>,
-    ) -> ScreenBest {
-        let candidates = self.bank.patterns.len();
-        let use_lockstep = self.detector.lockstep_screen;
-        let use_coarse = self.detector.coarse_prealign;
-        let penalty = self.detector.gap_penalty_per_second;
-        let band = self.detector.dtw_band;
-        let valid_hint = hint.filter(|h| *h < candidates);
-        // One reusable candidate-reference list serves both lockstep
-        // passes (the surrounding buffers all live in the scratch, but a
-        // `Vec<&SegmentFeatures>` cannot — it borrows the bank).
-        let mut refs: Vec<&SegmentFeatures> = Vec::with_capacity(candidates);
-
-        // Stage 1: trial order.
-        order.clear();
-        if use_coarse && valid_hint.is_none() {
-            self.measured_feat.decimate_into(measured_coarse);
-            refs.extend(self.bank.patterns.iter().map(|p| &p.coarse_features));
-            dtw_screen_lockstep(
-                &refs,
-                measured_coarse,
-                penalty,
-                decimated_band(band),
-                None,
-                true,
-                dtw,
-                outcomes,
-            );
-            // Rank by the normalised coarse score (completed cost, or the
-            // row-minimum lower bound where the race cut a candidate
-            // off), ties on the candidate index.
-            limits.clear();
-            limits.extend(
-                outcomes
-                    .iter()
-                    .zip(self.bank.patterns.iter())
-                    .map(|(o, p)| o.lower_bound() / p.coarse_features.len().max(1) as f64),
-            );
-            order.extend(0..candidates);
-            order.sort_by(|&a, &b| limits[a].total_cmp(&limits[b]).then(a.cmp(&b)));
-        } else {
-            let first = valid_hint.unwrap_or(0);
-            order.push(first);
-            order.extend((0..candidates).filter(|k| *k != first));
-        }
-
-        // Stage 2: seed the abandon threshold with the first candidate
-        // that passes the acceptance filters.
-        let mut pos = 0usize;
-        let mut best: ScreenBest = None;
-        while pos < order.len() {
-            let k = order[pos];
-            pos += 1;
-            if let Some((norm, range)) = self.align_candidate(k, dtw) {
-                best = Some((norm, k, range));
-                break;
-            }
-        }
-        let (mut best_norm, mut best_k, mut best_range) = best?;
-        let remaining = &order[pos..];
-        if remaining.is_empty() {
-            return Some((best_norm, best_k, best_range));
-        }
-
-        // Stage 3: fine screen of the remaining candidates against the
-        // seeded threshold. Survivor costs are bit-identical to the full
-        // alignment's, so processing them in ascending (cost, index)
-        // order and re-checking against the tightening best reproduces
-        // the sequential argmin exactly.
-        if use_lockstep {
-            refs.clear();
-            refs.extend(remaining.iter().map(|&k| &self.bank.patterns[k].features));
-            limits.clear();
-            limits.extend(
-                remaining.iter().map(|&k| best_norm * self.bank.patterns[k].features.len() as f64),
-            );
-            dtw_screen_lockstep(
-                &refs,
-                self.measured_feat,
-                penalty,
-                band,
-                Some(limits),
-                false,
-                dtw,
-                outcomes,
-            );
-            survivors.clear();
-            for (&k, outcome) in remaining.iter().zip(outcomes.iter()) {
-                if let Some(cost) = outcome.completed() {
-                    let n = self.bank.patterns[k].features.len();
-                    let norm = cost / n.max(1) as f64;
-                    if norm < best_norm || (norm == best_norm && k < best_k) {
-                        survivors.push((norm, k));
-                    }
-                }
-            }
-            survivors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            for &(norm, k) in survivors.iter() {
-                if !(norm < best_norm || (norm == best_norm && k < best_k)) {
-                    continue;
-                }
-                if let Some((full_norm, range)) = self.align_candidate(k, dtw) {
-                    debug_assert!(full_norm == norm);
-                    (best_norm, best_k, best_range) = (full_norm, k, range);
-                }
-            }
-        } else {
-            for &k in remaining.iter() {
-                let pattern = &self.bank.patterns[k];
-                let n = pattern.features.len();
-                let abandon_above = Some(best_norm * n as f64);
-                let Some(cost) = dtw_segmented_cost_only(
-                    &pattern.features,
-                    self.measured_feat,
-                    penalty,
-                    band,
-                    abandon_above,
-                    dtw,
-                ) else {
-                    continue;
-                };
-                let normalised = cost / n.max(1) as f64;
-                if !(normalised < best_norm || (normalised == best_norm && k < best_k)) {
-                    continue;
-                }
-                if let Some((full_norm, range)) = self.align_candidate(k, dtw) {
-                    debug_assert!(full_norm == normalised);
-                    (best_norm, best_k, best_range) = (full_norm, k, range);
-                }
-            }
-        }
-        Some((best_norm, best_k, best_range))
     }
 }
 

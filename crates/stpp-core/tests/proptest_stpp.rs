@@ -97,9 +97,9 @@ proptest! {
         let full = stpp_core::dtw_segmented_features_into(
             &ra, &rb, true, penalty, band, None, &mut scratch,
         );
-        let screened =
+        let cost_only =
             stpp_core::dtw_segmented_cost_only(&ra, &rb, penalty, band, None, &mut scratch);
-        prop_assert_eq!(full, screened);
+        prop_assert_eq!(full, cost_only);
     }
 
     #[test]

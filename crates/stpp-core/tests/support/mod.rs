@@ -1,59 +1,20 @@
 //! Shared test-support module for the stpp-core integration suites.
 //!
-//! The exactness and golden suites both need deterministic synthetic
-//! sweeps (geometries + recordings) and a common notion of "which
-//! screening configurations are under test"; keeping the generators here
-//! stops each suite from growing its own slightly-different copy — the
-//! point of a reusable equivalence harness is that the *same* inputs
-//! exercise every path.
-//!
-//! Each integration-test binary compiles its own copy of this module and
-//! uses a different subset of it, hence the file-level `dead_code` allow.
-#![allow(dead_code)]
+//! The order-independence suite needs deterministic synthetic sweeps
+//! (geometries + recordings); keeping the generators here stops each
+//! suite from growing its own slightly-different copy.
 
 use proptest::prelude::*;
 use proptest::ProptestConfig;
-use stpp_core::{PhaseProfile, StppConfig, StppInput, TagObservations};
+use stpp_core::{PhaseProfile, ReferenceProfileParams, StppConfig, StppInput, TagObservations};
 
 /// Proptest configuration honouring the `PROPTEST_CASES` environment
-/// variable (the CI exactness matrix bumps it well above the local
-/// default; the vendored proptest does not read it on its own).
+/// variable (CI bumps it well above the local default; the vendored
+/// proptest does not read it on its own).
 pub fn proptest_cases(default_cases: u32) -> ProptestConfig {
     let cases =
         std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases);
     ProptestConfig::with_cases(cases)
-}
-
-fn env_flag(name: &str) -> Option<bool> {
-    match std::env::var(name).ok()?.trim() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
-/// The `(lockstep_screen, coarse_prealign)` fast-path combinations under
-/// test. By default every non-baseline combination is exercised; the CI
-/// matrix pins a single one per job via `STPP_EXACTNESS_LOCKSTEP` /
-/// `STPP_EXACTNESS_COARSE` so a failure names the guilty switch.
-pub fn fast_combos() -> Vec<(bool, bool)> {
-    match (env_flag("STPP_EXACTNESS_LOCKSTEP"), env_flag("STPP_EXACTNESS_COARSE")) {
-        (Some(lockstep), Some(coarse)) => vec![(lockstep, coarse)],
-        (Some(lockstep), None) => vec![(lockstep, false), (lockstep, true)],
-        (None, Some(coarse)) => vec![(false, coarse), (true, coarse)],
-        (None, None) => vec![(true, false), (false, true), (true, true)],
-    }
-}
-
-/// The exact reference configuration: both screening switches off (the
-/// PR 2 sequential path) on top of `base`.
-pub fn exact_config(base: StppConfig) -> StppConfig {
-    StppConfig { lockstep_screen: false, coarse_prealign: false, ..base }
-}
-
-/// `base` with the given fast-path switches applied.
-pub fn screened_config(base: StppConfig, lockstep: bool, coarse: bool) -> StppConfig {
-    StppConfig { lockstep_screen: lockstep, coarse_prealign: coarse, ..base }
 }
 
 /// A deterministic synthetic sweep: one V-shaped phase profile per tag
@@ -113,16 +74,23 @@ impl SweepSpec {
             observations,
             nominal_speed_mps: self.speed,
             wavelength_m: WAVELENGTH_M,
-            perpendicular_distance_m: Some(
-                self.tags.iter().map(|t| t.1).fold(f64::INFINITY, f64::min),
-            ),
+            perpendicular_distance_m: Some(self.nearest_perpendicular_m()),
         }
     }
 
-    /// The `StppConfig` this sweep's band selects (screening switches
-    /// off; apply [`screened_config`] on top).
-    pub fn base_config(&self) -> StppConfig {
-        exact_config(StppConfig { dtw_band: self.band, ..StppConfig::default() })
+    /// The `StppConfig` this sweep's band selects.
+    pub fn config(&self) -> StppConfig {
+        StppConfig { dtw_band: self.band, ..StppConfig::default() }
+    }
+
+    /// The reference geometry [`input`](Self::input) localizes against:
+    /// the sweep speed and the nearest tag's perpendicular distance.
+    pub fn reference_params(&self) -> ReferenceProfileParams {
+        ReferenceProfileParams::new(self.speed, self.nearest_perpendicular_m(), WAVELENGTH_M)
+    }
+
+    fn nearest_perpendicular_m(&self) -> f64 {
+        self.tags.iter().map(|t| t.1).fold(f64::INFINITY, f64::min)
     }
 }
 
